@@ -147,12 +147,17 @@ void RecordOptimizeSearch(bench::BenchJson* out, const std::string& name,
   const double best_ms = bench::BestOfMs(reps, [&] {
     auto result = optimizer.Optimize(model);
     GALVATRON_CHECK(result.ok());
-    stats = result->stats;
+    // Ledger fields come from the fastest repetition, like wall_ms.
+    if (stats.search_seconds == 0.0 ||
+        result->stats.search_seconds < stats.search_seconds) {
+      stats = result->stats;
+    }
   });
   out->Record(name, "wall_ms", best_ms);
   out->Record(name, "repetitions", reps);
   out->Record(name, "threads", stats.search_threads_used);
   out->Record(name, "configs_explored", stats.configs_explored);
+  bench::RecordSweepLedger(out, name, stats);
   out->Record(name, "dp_states_explored",
               static_cast<double>(stats.dp_states_explored));
   out->Record(name, "dp_breakpoints_emitted",
@@ -216,13 +221,18 @@ void RecordHeteroOptimize(bench::BenchJson* out, const std::string& name,
   const double best_ms = bench::BestOfMs(reps, [&] {
     auto result = optimizer.Optimize(model);
     GALVATRON_CHECK(result.ok());
-    stats = result->stats;
+    // Ledger fields come from the fastest repetition, like wall_ms.
+    if (stats.search_seconds == 0.0 ||
+        result->stats.search_seconds < stats.search_seconds) {
+      stats = result->stats;
+    }
     throughput = result->estimated.throughput_samples_per_sec;
   });
   out->Record(name, "wall_ms", best_ms);
   out->Record(name, "repetitions", reps);
   out->Record(name, "threads", stats.search_threads_used);
   out->Record(name, "configs_explored", stats.configs_explored);
+  bench::RecordSweepLedger(out, name, stats);
   out->Record(name, "dp_states_explored",
               static_cast<double>(stats.dp_states_explored));
   out->Record(name, "estimated_throughput_samples_per_sec", throughput);

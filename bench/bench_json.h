@@ -176,6 +176,17 @@ class BenchJson {
   std::map<std::string, std::map<std::string, double>> records_;
 };
 
+/// The optimizer's sweep ledger (SearchStats: settle / bound / refine phase
+/// wall times and pruned configurations) as fields of record `name`.
+template <typename SearchStatsT>
+void RecordSweepLedger(BenchJson* out, const std::string& name,
+                       const SearchStatsT& stats) {
+  out->Record(name, "settle_ms", stats.settle_seconds * 1e3);
+  out->Record(name, "bound_ms", stats.bound_seconds * 1e3);
+  out->Record(name, "refine_ms", stats.refine_seconds * 1e3);
+  out->Record(name, "configs_pruned", stats.configs_pruned);
+}
+
 }  // namespace bench
 }  // namespace galvatron
 

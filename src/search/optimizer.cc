@@ -1,13 +1,16 @@
 #include "search/optimizer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <ctime>
+#include <limits>
 #include <map>
 #include <memory>
-#include <set>
 #include <utility>
 
 #include "search/cost_cache.h"
+#include "search/sweep_space.h"
 #include "util/alloc_counter.h"
 #include "util/logging.h"
 #include "util/math_util.h"
@@ -18,51 +21,21 @@ namespace galvatron {
 
 namespace {
 
-/// PP degrees to try: powers of two dividing the device count, capped by
-/// the layer count (stages must be non-empty).
-std::vector<int> DefaultPipelineDegrees(int num_devices, int num_layers) {
-  std::vector<int> degrees;
-  for (int p = 1; p <= num_devices; p *= 2) {
-    if (num_devices % p == 0 && p <= num_layers) degrees.push_back(p);
-  }
-  return degrees;
-}
-
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
 }
 
-/// Everything the sweep needs per PP degree, enumerated once up front
-/// (B-independent): the stage geometry, per-stage candidate strategies,
-/// the pipeline partition, and pre-built uniform single-strategy plan
-/// templates. Equal-split degrees share one candidate vector across all
-/// stages; uneven degrees (heterogeneous islands) carry one per width.
-struct PerDegree {
-  int pp = 1;
-  /// Device block of each stage. Equal-split entries use {s*span, span};
-  /// island-proportional entries may differ per stage.
-  std::vector<StageGeometry> geometry;
-  /// Candidate strategies per stage, shared between stages of one width.
-  std::vector<std::shared_ptr<const std::vector<HybridStrategy>>>
-      stage_candidates;
-  std::vector<int> stage_sizes;
-  /// Rank of the DP plan within a configuration: after every uniform
-  /// candidate (the widest stage's count on uneven entries).
-  int dp_rank = 0;
-  /// True when every stage is num_devices/pp wide — the only shape
-  /// MakeUniformPlan templates cover.
-  bool equal_split = true;
-  /// (candidate index, fully-built uniform plan) per structurally valid
-  /// candidate. Built once per degree; the per-configuration loop patches
-  /// the batch fields into a thread-local scratch copy instead of
-  /// re-allocating every stage's strategy vector for every configuration.
-  std::vector<std::pair<int, TrainingPlan>> uniform_templates;
-};
+/// CPU time the calling thread has consumed (excludes time preempted).
+double ThreadCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 /// One pipeline stage of a DP result, as indices into the owning
-/// PerDegree's candidate vector. Two ints per layer instead of a
+/// SweepDegree's candidate vector. Two ints per layer instead of a
 /// materialized HybridStrategy — the sweep ranks thousands of these and
 /// materializes only the single committed winner.
 struct StageDraft {
@@ -78,7 +51,7 @@ struct StageDraft {
 /// until the sweep commits its single winner (and the per-degree
 /// alternates) — comparison needs only the cached cost and the ordinals.
 struct RankedPlan {
-  const PerDegree* degree = nullptr;
+  const SweepDegree* degree = nullptr;
   int batch = 1;
   int micro = 1;
   int pp = 1;
@@ -113,8 +86,8 @@ bool BetterPlan(const RankedPlan& a, const RankedPlan& b) {
   return a.candidate_rank < b.candidate_rank;
 }
 
-/// Everything one worker produces for one configuration. Merged serially in
-/// ordinal order after each wave.
+/// Everything the sweep's phases produce for one configuration. Merged
+/// serially in ordinal order once the sweep has settled.
 struct ConfigOutcome {
   bool feasible = false;  // at least one plan passed EstimatePlan
   bool has_best = false;
@@ -205,11 +178,6 @@ Result<OptimizationResult> Optimizer::Optimize(
     return cancel_check && cancel_check();
   };
 
-  std::vector<int> pp_degrees = options_.pp_degrees;
-  if (pp_degrees.empty()) {
-    pp_degrees = DefaultPipelineDegrees(num_devices, model.num_layers());
-  }
-
   DpSearchOptions dp_options;
   dp_options.memory_granularity = options_.memory_granularity;
   dp_options.allow_recompute = options_.allow_recompute;
@@ -246,148 +214,12 @@ Result<OptimizationResult> Optimizer::Optimize(
   DpFrontierCache* fcache =
       frontier_cache != nullptr ? frontier_cache : local_frontier.get();
 
-  std::vector<PerDegree> degrees;
-  // batch=1/micro=1 satisfies every batch-dependent Validate check, so a
-  // template failure here is structural and holds for every configuration.
-  auto build_uniform_templates = [&](PerDegree& d) {
-    if (!d.equal_split) return;  // templates require equal stage widths
-    const std::vector<HybridStrategy>& candidates = *d.stage_candidates.front();
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      auto uniform = MakeUniformPlan(model, num_devices, d.pp, d.stage_sizes,
-                                     candidates[c], /*global_batch=*/1,
-                                     /*num_micro_batches=*/1);
-      if (!uniform.ok()) continue;
-      uniform->schedule = options_.schedule;
-      d.uniform_templates.emplace_back(static_cast<int>(c),
-                                       *std::move(uniform));
-    }
-  };
-  std::set<std::string> candidate_names;
-  // Candidate sets are pure functions of the stage width; uneven degrees
-  // revisit widths, so enumerate each width once.
-  std::map<int, std::shared_ptr<const std::vector<HybridStrategy>>>
-      width_candidates;
-  auto candidates_for_width = [&](int width)
-      -> Result<std::shared_ptr<const std::vector<HybridStrategy>>> {
-    auto it = width_candidates.find(width);
-    if (it != width_candidates.end()) return it->second;
-    GALVATRON_ASSIGN_OR_RETURN(
-        std::vector<HybridStrategy> enumerated,
-        EnumerateSingleLayerStrategies(width, options_.tree));
-    auto shared = std::make_shared<const std::vector<HybridStrategy>>(
-        std::move(enumerated));
-    for (const HybridStrategy& s : *shared) {
-      candidate_names.insert(s.ToString());
-    }
-    width_candidates.emplace(width, shared);
-    return shared;
-  };
-  for (int pp : pp_degrees) {
-    if (pp < 1 || num_devices % pp != 0 || pp > model.num_layers()) continue;
-    PerDegree d;
-    d.pp = pp;
-    const int span = num_devices / pp;
-    GALVATRON_ASSIGN_OR_RETURN(
-        std::shared_ptr<const std::vector<HybridStrategy>> candidates,
-        candidates_for_width(span));
-    d.geometry.reserve(static_cast<size_t>(pp));
-    for (int s = 0; s < pp; ++s) {
-      d.geometry.push_back(StageGeometry{s * span, span});
-    }
-    d.stage_candidates.assign(static_cast<size_t>(pp), candidates);
-    d.dp_rank = static_cast<int>(candidates->size());
-    GALVATRON_ASSIGN_OR_RETURN(
-        d.stage_sizes,
-        PartitionPipeline(model, pp, options_.partition_policy));
-    // Heterogeneous clusters: also try a capacity-aware partition that
-    // hands roomier islands proportionally more layers.
-    if (pp > 1 && !cluster_->HasUniformMemory()) {
-      PerDegree hetero = d;
-      std::vector<double> capacities;
-      for (int s = 0; s < pp; ++s) {
-        capacities.push_back(static_cast<double>(
-            cluster_->MinMemoryInRange(s * span, span)));
-      }
-      auto sizes = PartitionPipelineHeterogeneous(
-          model, options_.partition_policy, capacities);
-      if (sizes.ok() && *sizes != d.stage_sizes) {
-        hetero.stage_sizes = *std::move(sizes);
-        build_uniform_templates(hetero);
-        degrees.push_back(std::move(hetero));
-      }
-    }
-    build_uniform_templates(d);
-    degrees.push_back(std::move(d));
-  }
-  // Mixed-generation (or graph-backed) clusters: island-proportional
-  // uneven stage splits, appended after the equal-split entries so
-  // homogeneous enumeration ordinals are untouched. Faster islands get
-  // more stages (and the layer partition then weighs stages by their
-  // block's throughput), which no equal split can express when islands
-  // differ in width or speed.
-  const bool graph_or_mixed =
-      cluster_->topology() != nullptr || !cluster_->HasUniformCompute();
-  if (options_.allow_uneven_stages && graph_or_mixed) {
-    const std::vector<DeviceIsland> islands = cluster_->ComputeIslands();
-    if (islands.size() > 1) {
-      std::set<int> uneven_pps(pp_degrees.begin(), pp_degrees.end());
-      uneven_pps.insert(static_cast<int>(islands.size()));
-      for (const int pp : uneven_pps) {
-        if (pp < 2 || pp > model.num_layers() || pp > num_devices) continue;
-        auto geo = ProportionalStageGeometry(islands, pp);
-        if (!geo.ok()) continue;
-        PerDegree d;
-        d.pp = pp;
-        d.geometry = *std::move(geo);
-        d.equal_split =
-            num_devices % pp == 0 &&
-            std::all_of(d.geometry.begin(), d.geometry.end(),
-                        [&](const StageGeometry& g) {
-                          return g.num_devices == num_devices / pp;
-                        });
-        bool enumerated_ok = true;
-        std::vector<double> capacities;
-        for (const StageGeometry& g : d.geometry) {
-          auto candidates = candidates_for_width(g.num_devices);
-          if (!candidates.ok()) {
-            enumerated_ok = false;
-            break;
-          }
-          d.stage_candidates.push_back(*std::move(candidates));
-          d.dp_rank = std::max(
-              d.dp_rank,
-              static_cast<int>(d.stage_candidates.back()->size()));
-          capacities.push_back(
-              g.num_devices *
-              cluster_->MinSustainedFlopsInRange(g.first_device,
-                                                 g.num_devices));
-        }
-        if (!enumerated_ok) continue;
-        auto sizes = PartitionPipelineHeterogeneous(
-            model, options_.partition_policy, capacities);
-        if (!sizes.ok()) {
-          sizes = PartitionPipeline(model, pp, options_.partition_policy);
-        }
-        if (!sizes.ok()) continue;
-        d.stage_sizes = *std::move(sizes);
-        const bool duplicate = std::any_of(
-            degrees.begin(), degrees.end(), [&](const PerDegree& existing) {
-              return existing.pp == d.pp &&
-                     existing.geometry == d.geometry &&
-                     existing.stage_sizes == d.stage_sizes;
-            });
-        if (duplicate) continue;
-        build_uniform_templates(d);
-        degrees.push_back(std::move(d));
-      }
-    }
-  }
-  if (degrees.empty()) {
-    return Status::InvalidArgument("no valid pipeline degrees");
-  }
+  GALVATRON_ASSIGN_OR_RETURN(SweepSpace space,
+                             EnumerateSweepSpace(model, *cluster_, options_));
+  const std::vector<SweepDegree>& degrees = space.degrees;
 
   SearchStats stats;
-  stats.num_candidate_strategies = static_cast<int>(candidate_names.size());
+  stats.num_candidate_strategies = space.num_candidate_strategies;
   stats.enumerate_seconds = SecondsSince(start);
 
   int threads = options_.search_threads;
@@ -397,8 +229,9 @@ Result<OptimizationResult> Optimizer::Optimize(
   // for 4 threads on a smaller host is never slower than asking for 1.
   threads = std::min(threads, ThreadPool::HardwareThreads());
   stats.search_threads_used = threads;
+  // Started on first use: a sweep whose phases all stay inline (see
+  // run_phase) never pays for thread start-up.
   std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
 
   // Whole-plan cost memo. EstimatePlan is budget-independent except for
   // the per-stage peak-vs-budget comparison, so the cost is computed once
@@ -430,7 +263,7 @@ Result<OptimizationResult> Optimizer::Optimize(
     key.Finalize();
     return key;
   };
-  auto draft_cost_key = [&](const PerDegree& degree, int batch, int micro,
+  auto draft_cost_key = [&](const SweepDegree& degree, int batch, int micro,
                             const std::vector<StageDraft>& stages)
       -> const PlanCostKey& {
     thread_local PlanCostKey key;
@@ -505,7 +338,7 @@ Result<OptimizationResult> Optimizer::Optimize(
   // Materializes a draft into `plan`, reusing its nested buffers — the
   // only place full strategy vectors are built for DP plans, reached on a
   // plan-memo miss and when the sweep commits a winner.
-  auto materialize_draft = [&](const PerDegree& degree, int batch, int micro,
+  auto materialize_draft = [&](const SweepDegree& degree, int batch, int micro,
                                const std::vector<StageDraft>& stages,
                                TrainingPlan& plan) {
     plan.model_name = model.name();
@@ -539,7 +372,7 @@ Result<OptimizationResult> Optimizer::Optimize(
   // leading strategy (its TotalDegree picks the budget row) and the cached
   // per-stage peaks — same order, short-circuiting, and message as
   // check_plan_memory.
-  auto estimate_draft = [&](const PerDegree& degree, int batch, int micro,
+  auto estimate_draft = [&](const SweepDegree& degree, int batch, int micro,
                             const std::vector<StageDraft>& stages)
       -> Result<std::shared_ptr<const PlanCost>> {
     const PlanCostKey& key = draft_cost_key(degree, batch, micro, stages);
@@ -567,81 +400,95 @@ Result<OptimizationResult> Optimizer::Optimize(
     return cost;
   };
 
-  // Evaluates one (batch, degree, micro) configuration. Pure function of
-  // its arguments plus the (thread-safe, const) estimator and shared
-  // caches — safe to run on any worker.
-  auto evaluate = [&](const PerDegree& degree, int batch, int micro,
-                      int config_ordinal) -> ConfigOutcome {
+  // One configuration of the sweep and everything its phases produce.
+  // Configurations are appended in enumeration order, so a configuration's
+  // index in `configs` is its ordinal.
+  struct SweepConfig {
+    const SweepDegree* degree = nullptr;
+    int ordinal = 0;
+    int batch = 1;
+    int micro = 1;
+    int incumbent_slot = 0;  // index of this PP degree's incumbent
+    bool dp_done = false;    // the per-stage DP has run
+    bool pruned = false;     // skipped by the refine phase's bound test
+    double bound = 0.0;      // admissible throughput upper bound
     ConfigOutcome out;
-    if (cancelled()) {
-      out.error = Status::Cancelled("strategy sweep cancelled");
-      return out;
-    }
-    // Best plan of THIS configuration, tracked without materializing
-    // anything: a uniform-template index or a draft of candidate indices,
-    // plus the shared cost entry. Within one configuration the PP degree
-    // and ordinal are fixed, so BetterPlan reduces to strictly higher
-    // throughput (earlier candidates keep ties); nothing is deep-copied —
-    // the sweep materializes only its single committed winner.
-    std::shared_ptr<const PlanCost> best_cost;
-    int best_rank = 0;
-    int best_template = -1;
-    std::vector<StageDraft> draft;
-    auto commit_best = [&] {
-      if (best_cost == nullptr) return;
-      out.best.degree = &degree;
-      out.best.batch = batch;
-      out.best.micro = micro;
-      out.best.pp = degree.pp;
-      out.best.cost = std::move(best_cost);
-      out.best.candidate_rank = best_rank;
-      out.best.config_ordinal = config_ordinal;
-      out.best.uniform_template = best_template;
-      if (best_template < 0) out.best.stages = std::move(draft);
-      out.has_best = true;
-    };
-    // Uniform single-strategy plans first: they are points of the same
-    // search space, and evaluating them through the exact estimator
-    // guarantees the search never loses to a pure baseline because of
-    // DP-table memory quantization. The structure comes from the pre-built
-    // per-degree template; only the batch fields differ per configuration,
-    // patched into a thread-local scratch whose nested vectors are reused
-    // across configurations. The guard reproduces exactly the
-    // batch-dependent Validate failures MakeUniformPlan would hit.
-    if (batch >= 1 && micro >= 1 && micro <= batch) {
-      static thread_local TrainingPlan uniform_scratch;
-      for (size_t t = 0; t < degree.uniform_templates.size(); ++t) {
-        uniform_scratch = degree.uniform_templates[t].second;
-        uniform_scratch.global_batch = batch;
-        uniform_scratch.num_micro_batches = micro;
-        auto uniform_cost = estimate_plan(uniform_scratch);
-        if (!uniform_cost.ok()) continue;
-        out.feasible = true;
-        if (best_cost == nullptr ||
-            (*uniform_cost)->throughput_samples_per_sec >
-                best_cost->throughput_samples_per_sec) {
-          best_cost = *std::move(uniform_cost);
-          best_rank = degree.uniform_templates[t].first;
-          best_template = static_cast<int>(t);
-        }
-      }
-    }
+  };
+  std::vector<SweepConfig> configs;
 
-    // Per-stage DP, collected as a draft of candidate indices (the kernel
-    // runs with materialize_plans off and returns index chains only). The
-    // probe plan carries just the schedule shape InFlightForDegree reads.
+  // Records `cost` as the configuration's best plan when it is strictly
+  // better. Within one configuration the PP degree and ordinal are fixed
+  // and candidates are considered in rank order (uniform templates, then
+  // the DP plan), so BetterPlan reduces to strictly higher throughput —
+  // earlier candidates keep ties.
+  auto offer = [](SweepConfig& c, std::shared_ptr<const PlanCost> cost,
+                  int rank, int uniform_template) {
+    ConfigOutcome& out = c.out;
+    out.feasible = true;
+    if (out.has_best && !(cost->throughput_samples_per_sec >
+                          out.best.cost->throughput_samples_per_sec)) {
+      return;
+    }
+    out.best.degree = c.degree;
+    out.best.batch = c.batch;
+    out.best.micro = c.micro;
+    out.best.pp = c.degree->pp;
+    out.best.cost = std::move(cost);
+    out.best.candidate_rank = rank;
+    out.best.config_ordinal = c.ordinal;
+    out.best.uniform_template = uniform_template;
+    out.has_best = true;
+  };
+
+  // Uniform single-strategy plans: points of the same search space,
+  // evaluated through the exact estimator so the search never loses to a
+  // pure baseline because of DP-table memory quantization. The structure
+  // comes from the pre-built per-degree template; only the batch fields
+  // differ per configuration, patched into a thread-local scratch whose
+  // nested vectors are reused across configurations. The guard reproduces
+  // exactly the batch-dependent Validate failures MakeUniformPlan would hit.
+  auto evaluate_uniform = [&](SweepConfig& c) {
+    if (cancelled()) {
+      c.out.error = Status::Cancelled("strategy sweep cancelled");
+      return;
+    }
+    if (c.batch < 1 || c.micro < 1 || c.micro > c.batch) return;
+    static thread_local TrainingPlan uniform_scratch;
+    const SweepDegree& degree = *c.degree;
+    for (size_t t = 0; t < degree.uniform_templates.size(); ++t) {
+      uniform_scratch = degree.uniform_templates[t].second;
+      uniform_scratch.global_batch = c.batch;
+      uniform_scratch.num_micro_batches = c.micro;
+      auto uniform_cost = estimate_plan(uniform_scratch);
+      if (!uniform_cost.ok()) continue;
+      offer(c, *std::move(uniform_cost), degree.uniform_templates[t].first,
+            static_cast<int>(t));
+    }
+  };
+
+  // Per-stage DP, collected as a draft of candidate indices (the kernel
+  // runs with materialize_plans off and returns index chains only), then
+  // estimated as a whole plan and offered after the uniform candidates.
+  // Pure function of the configuration plus the (thread-safe, const)
+  // estimator and shared caches — safe to run on any worker.
+  auto evaluate_dp = [&](SweepConfig& c) {
+    ConfigOutcome& out = c.out;
+    c.dp_done = true;
+    const SweepDegree& degree = *c.degree;
+    // The probe plan carries just the schedule shape InFlightForDegree
+    // reads.
     TrainingPlan probe;
-    probe.global_batch = batch;
-    probe.num_micro_batches = micro;
+    probe.global_batch = c.batch;
+    probe.num_micro_batches = c.micro;
     probe.schedule = options_.schedule;
 
-    bool oom = false;
-    int first_layer = 0;
+    std::vector<StageDraft> draft;
     draft.reserve(static_cast<size_t>(degree.pp));
-    for (int s = 0; s < degree.pp && !oom; ++s) {
+    int first_layer = 0;
+    for (int s = 0; s < degree.pp; ++s) {
       if (cancelled()) {
         out.error = Status::Cancelled("strategy sweep cancelled");
-        return out;
+        return;
       }
       const int stage_layers = degree.stage_sizes[static_cast<size_t>(s)];
       const StageGeometry& geom = degree.geometry[static_cast<size_t>(s)];
@@ -649,10 +496,10 @@ Result<OptimizationResult> Optimizer::Optimize(
           cluster_->MinMemoryInRange(geom.first_device, geom.num_devices);
       auto result = search.Run(model, first_layer, stage_layers,
                                *degree.stage_candidates[static_cast<size_t>(s)],
-                               geom.first_device,
-                               batch, micro, stage_budget,
-                               probe.InFlightForDegree(degree.pp, s),
-                               cache, fcache, &cancel_check);
+                               geom.first_device, c.batch, c.micro,
+                               stage_budget,
+                               probe.InFlightForDegree(degree.pp, s), cache,
+                               fcache, &cancel_check);
       if (fcache != nullptr) {
         // Warm infeasible answers are invisible here (no DpSearchResult to
         // carry the flag) and count as misses; the cache's own stats()
@@ -664,13 +511,11 @@ Result<OptimizationResult> Optimizer::Optimize(
         }
       }
       if (!result.ok()) {
-        if (result.status().IsInfeasible() ||
-            result.status().IsOutOfMemory()) {
-          oom = true;
-          break;
+        if (!result.status().IsInfeasible() &&
+            !result.status().IsOutOfMemory()) {
+          out.error = result.status();
         }
-        out.error = result.status();
-        return out;
+        return;
       }
       out.dp_states += result->states_explored;
       out.dp_breakpoints += result->breakpoints_emitted;
@@ -686,29 +531,16 @@ Result<OptimizationResult> Optimizer::Optimize(
       draft.push_back(std::move(d));
       first_layer += stage_layers;
     }
-    if (oom) {
-      commit_best();
-      return out;
-    }
 
-    auto cost = estimate_draft(degree, batch, micro, draft);
+    auto cost = estimate_draft(degree, c.batch, c.micro, draft);
     if (!cost.ok()) {
       if (!cost.status().IsOutOfMemory()) out.error = cost.status();
-      commit_best();
-      return out;
+      return;
     }
-    out.feasible = true;
-    // The DP plan carries the highest candidate rank, so it too replaces
-    // only on strictly higher throughput.
-    if (best_cost == nullptr ||
-        (*cost)->throughput_samples_per_sec >
-            best_cost->throughput_samples_per_sec) {
-      best_cost = *std::move(cost);
-      best_rank = degree.dp_rank;
-      best_template = -1;
-    }
-    commit_best();
-    return out;
+    offer(c, *std::move(cost), degree.dp_rank, /*uniform_template=*/-1);
+    // Only uniform templates were offered before, so a draft-backed best
+    // means the DP plan won.
+    if (out.best.uniform_template < 0) out.best.stages = std::move(draft);
   };
 
   // Materializes a RankedPlan into a full TrainingPlan — called once for
@@ -729,99 +561,219 @@ Result<OptimizationResult> Optimizer::Optimize(
     return plan;
   };
 
-  RankedPlan best;
-  bool have_best = false;
-  // Best plan per PP degree, kept as alternates.
-  std::map<int, RankedPlan> best_per_degree;
-  int next_ordinal = 0;
+  // Runs `phase` over `indices` of `configs`, inline or on the pool, and
+  // charges each call's heap allocations to its configuration (the call
+  // runs entirely on one worker, so a thread-local counter delta is
+  // exact). Dispatch is adaptive: starting and waking workers costs more
+  // than a cheap phase's whole compute (a warm sweep's phases take
+  // microseconds), so indices run inline, in order, until the phase has
+  // used kInlineSeconds of this thread's CPU time; the remainder fans out
+  // across the pool only when the inline rate predicts at least
+  // kPoolSeconds of work left. CPU time rather than wall time keeps the
+  // decision independent of how busy the host is: a preempted caller
+  // would otherwise mistake a stall for work and hand a cheap phase to
+  // workers that then wait for cores. The clock is read after 1, 2, 4, ...
+  // indices, so a warm phase pays a handful of reads. An `eager` phase
+  // skips the inline prefix: after a settle wave that used kPoolSeconds of
+  // CPU the sweep is cold, and the first index of the next wave (the
+  // shallowest pipeline, with the most uniform templates) or of refine
+  // (the highest bound, usually the widest stage's DP) is often the
+  // phase's longest. Only latency changes — every phase writes per-configuration
+  // slots that are merged in ordinal order, so the result is identical
+  // however it ran.
+  constexpr double kInlineSeconds = 1e-3;
+  constexpr double kPoolSeconds = 5e-3;
+  auto run_phase = [&](const std::vector<int>& indices, const auto& phase,
+                       bool eager = false) {
+    auto call = [&](int i) {
+      SweepConfig& c = configs[static_cast<size_t>(
+          indices[static_cast<size_t>(i)])];
+      const int64_t allocs_before = CurrentThreadAllocCount();
+      phase(c);
+      c.out.sweep_allocations += CurrentThreadAllocCount() - allocs_before;
+    };
+    const int count = static_cast<int>(indices.size());
+    const double cpu_start = threads > 1 ? ThreadCpuSeconds() : 0.0;
+    int next = 0;
+    int next_check = 1;
+    while (next < count && !(eager && threads > 1)) {
+      if (threads > 1 && next == next_check) {
+        next_check *= 2;
+        const double used = ThreadCpuSeconds() - cpu_start;
+        if (used >= kInlineSeconds &&
+            used / next * (count - next) >= kPoolSeconds) {
+          break;
+        }
+      }
+      call(next++);
+    }
+    if (next == count) return;
+    if (pool == nullptr) pool = std::make_unique<ThreadPool>(threads);
+    ParallelFor(pool.get(), count - next, [&](int i) { call(next + i); });
+  };
+  // The first fatal error among `indices`, by ordinal (indices ascending).
+  auto first_error = [&](const std::vector<int>& indices) -> Status {
+    for (const int i : indices) {
+      const Status& error = configs[static_cast<size_t>(i)].out.error;
+      if (!error.ok()) return error;
+    }
+    return Status::OK();
+  };
 
-  // Wave dispatch is adaptive: handing a wave to the pool costs futex
-  // round-trips that dwarf a fully warm wave's compute (frontier + plan
-  // memos make it microseconds), so a wave that finishes under the
-  // threshold runs the NEXT wave inline, and a slow inline wave switches
-  // back. Only latency changes — the ordinal-ordered merge below makes the
-  // result identical however a wave was executed.
-  constexpr double kInlineWaveSeconds = 250e-6;
-  bool wave_inline = false;
+  // One incumbent per PP degree: the highest throughput any evaluated plan
+  // of that degree has reached. Per degree rather than global because the
+  // alternates (best plan per PP degree) are part of the result; a
+  // configuration is skipped only when its bound is strictly below its own
+  // degree's incumbent, so neither the winner nor any alternate can be
+  // lost (BetterPlan breaks exact throughput ties by ordinal, hence
+  // strict).
+  std::map<int, int> slot_of_pp;
+  for (const SweepDegree& degree : degrees) {
+    slot_of_pp.emplace(degree.pp, static_cast<int>(slot_of_pp.size()));
+  }
+  std::vector<std::atomic<double>> incumbents(slot_of_pp.size());
+  for (std::atomic<double>& incumbent : incumbents) {
+    incumbent.store(-std::numeric_limits<double>::infinity());
+  }
+  auto raise_incumbent = [&](const SweepConfig& c) {
+    if (!c.out.has_best) return;
+    const double throughput = c.out.best.cost->throughput_samples_per_sec;
+    std::atomic<double>& incumbent =
+        incumbents[static_cast<size_t>(c.incumbent_slot)];
+    double current = incumbent.load(std::memory_order_relaxed);
+    while (throughput > current &&
+           !incumbent.compare_exchange_weak(current, throughput,
+                                            std::memory_order_relaxed)) {
+    }
+  };
 
-  // Algorithm 1: grow the batch until every PP degree is out of memory.
-  // The batch loop stays serial (its exit condition depends on this wave's
-  // feasibility); within a wave, the independent (degree, micro)
-  // configurations fan out across the pool and are merged in enumeration
-  // order below.
+  // Phase 1, settle: Algorithm 1's batch loop — grow the batch until every
+  // PP degree is out of memory. Each wave evaluates only the uniform
+  // templates of its (degree, micro) configurations; the loop's exit test
+  // needs DP feasibility only when no uniform plan fits and no degree is
+  // still waiting for a batch that fills its pipeline, and only then does
+  // the wave run DPs — until one fits, which decides the test exactly as
+  // running all of them would.
+  const auto settle_start = std::chrono::steady_clock::now();
+  bool cold = false;  // the last settle wave used kPoolSeconds of CPU
   for (int batch = options_.batch_step;
        batch <= options_.max_batch; batch += options_.batch_step) {
     if (cancelled()) return Status::Cancelled("strategy sweep cancelled");
     bool any_pending = false;  // degrees whose pipelines the batch can't fill yet
-    struct ConfigTask {
-      const PerDegree* degree;
-      int micro;
-      int ordinal;
-    };
-    std::vector<ConfigTask> tasks;
-    for (const PerDegree& degree : degrees) {
-      // Micro-batch counts: 1 for the non-pipelined case, else multiples of
-      // the stage count (GPipe needs m >= P to fill the pipe).
-      std::vector<int> micro_counts;
-      if (degree.pp == 1) {
-        micro_counts.push_back(1);
-      } else {
-        for (int mult : options_.micro_batch_multipliers) {
-          const int m = degree.pp * mult;
-          if (m <= batch) micro_counts.push_back(m);
-        }
-        if (micro_counts.empty() && degree.pp <= batch) {
-          micro_counts.push_back(degree.pp);
-        }
-        if (micro_counts.empty()) any_pending = true;
-      }
-      for (int micro : micro_counts) {
-        tasks.push_back(ConfigTask{&degree, micro, next_ordinal++});
+    std::vector<int> wave;
+    for (const SweepDegree& degree : degrees) {
+      for (const int micro :
+           MicroBatchCounts(degree.pp, batch,
+                            options_.micro_batch_multipliers, &any_pending)) {
+        SweepConfig c;
+        c.degree = &degree;
+        c.ordinal = static_cast<int>(configs.size());
+        c.batch = batch;
+        c.micro = micro;
+        c.incumbent_slot = slot_of_pp.at(degree.pp);
+        wave.push_back(static_cast<int>(configs.size()));
+        configs.push_back(std::move(c));
       }
     }
+    const double wave_cpu_start = threads > 1 ? ThreadCpuSeconds() : 0.0;
+    run_phase(wave, evaluate_uniform, /*eager=*/cold);
+    cold = threads > 1 && ThreadCpuSeconds() - wave_cpu_start >= kPoolSeconds;
+    GALVATRON_RETURN_IF_ERROR(first_error(wave));
+    const bool uniform_feasible =
+        std::any_of(wave.begin(), wave.end(), [&](int i) {
+          return configs[static_cast<size_t>(i)].out.feasible;
+        });
+    if (uniform_feasible || any_pending) continue;
+    // The exit test needs only one feasible DP plan: DPs run deepest
+    // pipeline and most micro-batches first (the configurations with the
+    // least memory per device), and the rest of the wave is left to the
+    // bound and refine phases once one fits.
+    std::atomic<bool> found{false};
+    run_phase(std::vector<int>(wave.rbegin(), wave.rend()),
+              [&](SweepConfig& c) {
+                if (found.load(std::memory_order_relaxed)) return;
+                evaluate_dp(c);
+                if (c.out.feasible) found.store(true);
+              });
+    GALVATRON_RETURN_IF_ERROR(first_error(wave));
+    if (!found.load()) break;  // larger batches only use more memory
+  }
+  for (const SweepConfig& c : configs) raise_incumbent(c);
+  stats.settle_seconds = SecondsSince(settle_start);
 
-    std::vector<ConfigOutcome> outcomes(tasks.size());
-    const auto wave_start = std::chrono::steady_clock::now();
-    ParallelFor(wave_inline ? nullptr : pool.get(),
-                static_cast<int>(tasks.size()), [&](int i) {
-      const ConfigTask& task = tasks[static_cast<size_t>(i)];
-      ConfigOutcome& out = outcomes[static_cast<size_t>(i)];
-      // Allocation telemetry: evaluate runs entirely on this worker, so a
-      // thread-local counter delta captures its heap traffic exactly.
-      const int64_t allocs_before = CurrentThreadAllocCount();
-      out = evaluate(*task.degree, batch, task.micro, task.ordinal);
-      out.sweep_allocations = CurrentThreadAllocCount() - allocs_before;
-    });
-    wave_inline = SecondsSince(wave_start) < kInlineWaveSeconds;
+  // Phase 2, bound: an admissible throughput upper bound for every
+  // configuration whose DP has not run (see ThroughputBound).
+  const auto bound_start = std::chrono::steady_clock::now();
+  std::vector<int> open;
+  for (size_t i = 0; i < configs.size(); ++i) {
+    if (!configs[i].dp_done) open.push_back(static_cast<int>(i));
+  }
+  std::vector<ThroughputBound> bounds;
+  bounds.reserve(degrees.size());
+  for (const SweepDegree& degree : degrees) {
+    bounds.emplace_back(cache, model, *cluster_, degree,
+                        options_.allow_recompute);
+  }
+  run_phase(open, [&](SweepConfig& c) {
+    c.bound = bounds[static_cast<size_t>(c.degree - degrees.data())].Evaluate(
+        c.batch, c.micro, options_.schedule);
+  });
+  stats.bound_seconds = SecondsSince(bound_start);
 
-    // Deterministic merge: walk outcomes in enumeration order; the first
-    // fatal error (by ordinal) is returned, exactly as the serial sweep
-    // would have surfaced it.
-    bool any_feasible = false;
-    for (ConfigOutcome& out : outcomes) {
-      if (!out.error.ok()) return out.error;
-      ++stats.configs_explored;
-      stats.dp_states_explored += out.dp_states;
-      stats.dp_breakpoints_emitted += out.dp_breakpoints;
-      stats.dp_options_pruned += out.dp_pruned;
-      stats.dp_frontier_hits += out.dp_frontier_hits;
-      stats.dp_frontier_misses += out.dp_frontier_misses;
-      stats.dp_allocations += out.dp_allocations;
-      stats.sweep_allocations += out.sweep_allocations;
-      any_feasible = any_feasible || out.feasible;
-      if (!out.has_best) continue;
-      const int pp = out.best.pp;
-      auto it = best_per_degree.find(pp);
-      if (it == best_per_degree.end() || BetterPlan(out.best, it->second)) {
-        best_per_degree[pp] = out.best;
-      }
-      if (!have_best || BetterPlan(out.best, best)) {
-        best = std::move(out.best);
-        have_best = true;
-      }
+  // Phase 3, refine: run the remaining DPs in descending-bound order (ties
+  // by ordinal), so the most promising configurations raise their degree's
+  // incumbent first, and skip every configuration whose bound is strictly
+  // below its incumbent or says no plan fits in memory. Racing workers may
+  // skip more or fewer configurations, but every incumbent is the
+  // throughput of a plan that is merged below, so a skip can never change
+  // the winner or an alternate.
+  const auto refine_start = std::chrono::steady_clock::now();
+  if (cancelled()) return Status::Cancelled("strategy sweep cancelled");
+  std::vector<int> order = open;
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return configs[static_cast<size_t>(a)].bound >
+           configs[static_cast<size_t>(b)].bound;
+  });
+  run_phase(order, [&](SweepConfig& c) {
+    if (c.bound == -std::numeric_limits<double>::infinity() ||
+        c.bound < incumbents[static_cast<size_t>(c.incumbent_slot)].load(
+                      std::memory_order_relaxed)) {
+      c.pruned = true;
+      return;
     }
-    if (!any_feasible && !any_pending) {
-      break;  // larger batches only use more memory
+    evaluate_dp(c);
+    raise_incumbent(c);
+  }, /*eager=*/cold);
+  stats.refine_seconds = SecondsSince(refine_start);
+
+  // Deterministic merge: walk configurations in enumeration order; the
+  // first fatal error (by ordinal) among the configurations that ran is
+  // returned.
+  RankedPlan best;
+  bool have_best = false;
+  // Best plan per PP degree, kept as alternates.
+  std::map<int, RankedPlan> best_per_degree;
+  for (SweepConfig& c : configs) {
+    ConfigOutcome& out = c.out;
+    if (!out.error.ok()) return out.error;
+    ++stats.configs_explored;
+    if (c.pruned) ++stats.configs_pruned;
+    stats.dp_states_explored += out.dp_states;
+    stats.dp_breakpoints_emitted += out.dp_breakpoints;
+    stats.dp_options_pruned += out.dp_pruned;
+    stats.dp_frontier_hits += out.dp_frontier_hits;
+    stats.dp_frontier_misses += out.dp_frontier_misses;
+    stats.dp_allocations += out.dp_allocations;
+    stats.sweep_allocations += out.sweep_allocations;
+    if (!out.has_best) continue;
+    const int pp = out.best.pp;
+    auto it = best_per_degree.find(pp);
+    if (it == best_per_degree.end() || BetterPlan(out.best, it->second)) {
+      best_per_degree[pp] = out.best;
+    }
+    if (!have_best || BetterPlan(out.best, best)) {
+      best = std::move(out.best);
+      have_best = true;
     }
   }
   stats.sweep_seconds = SecondsSince(start) - stats.enumerate_seconds;
@@ -866,7 +818,7 @@ Result<OptimizationResult> Optimizer::Optimize(
     }
     if (!measured) break;
     Result<std::vector<int>> sizes = Status::Internal("unset");
-    if (!graph_or_mixed) {
+    if (!space.graph_or_mixed) {
       sizes = PartitionByWeights(layer_seconds, pp);
     } else {
       // Mixed compute: weigh each layer by the throughput of the stage it
@@ -908,7 +860,8 @@ Result<OptimizationResult> Optimizer::Optimize(
       // Device blocks come from the winning plan itself — uneven splits
       // keep their geometry across co-optimization rounds.
       const StagePlan& block = result.plan.stages[static_cast<size_t>(s)];
-      auto candidates = candidates_for_width(block.num_devices);
+      auto candidates =
+          CandidatesForWidth(space, block.num_devices, options_.tree);
       if (!candidates.ok()) {
         oom = true;
         break;

@@ -80,7 +80,7 @@ struct OptimizerOptions {
 /// Telemetry of one optimizer run (Figure 4 reports search time).
 struct SearchStats {
   double search_seconds = 0.0;
-  int configs_explored = 0;        // (B, P, m) triples evaluated
+  int configs_explored = 0;        // (B, P, m) triples enumerated
   /// DP states materialized across all per-stage searches: dense-kernel
   /// table cells, or sparse-kernel Pareto breakpoints (see DpSearchResult).
   int64_t dp_states_explored = 0;
@@ -96,6 +96,20 @@ struct SearchStats {
   double enumerate_seconds = 0.0;
   double sweep_seconds = 0.0;
   double co_optimize_seconds = 0.0;
+  /// The sweep's own ledger (docs/parallel_search.md, "Bound-and-prune
+  /// sweep"): settle runs Algorithm 1's batch loop over the uniform
+  /// templates, bound prices every configuration whose DP has not run, and
+  /// refine runs the surviving DPs. sweep_seconds is their sum plus the
+  /// ordinal-ordered merge.
+  double settle_seconds = 0.0;
+  double bound_seconds = 0.0;
+  double refine_seconds = 0.0;
+  /// Configurations whose per-stage DPs were skipped because their
+  /// throughput bound was strictly below their PP degree's incumbent.
+  /// Counted in configs_explored too. Timing-dependent at more than one
+  /// thread (racing workers raise incumbents in different orders); the
+  /// plan never is.
+  int configs_pruned = 0;
 
   /// Shared cost-cache counters, summed over layer and transformation
   /// lookups. A miss is one estimator invocation. These are per-call deltas:

@@ -268,7 +268,9 @@ std::string CanonicalPlanJson(const TrainingPlan& plan) {
 
 std::string SearchStatsJson(const SearchStats& stats) {
   std::string out = "{";
-  out += "\"configs_explored\": " + Int64Json(stats.configs_explored);
+  out += "\"bound_seconds\": " + JsonNumber(stats.bound_seconds);
+  out += ", \"configs_explored\": " + Int64Json(stats.configs_explored);
+  out += ", \"configs_pruned\": " + Int64Json(stats.configs_pruned);
   out += ", \"cost_cache_hits\": " + Int64Json(stats.cost_cache_hits);
   out += ", \"cost_cache_lifetime_hits\": " +
          Int64Json(stats.cost_cache_lifetime_hits);
@@ -280,8 +282,10 @@ std::string SearchStatsJson(const SearchStats& stats) {
   out += ", \"dp_states_explored\": " + Int64Json(stats.dp_states_explored);
   out += ", \"num_candidate_strategies\": " +
          Int64Json(stats.num_candidate_strategies);
+  out += ", \"refine_seconds\": " + JsonNumber(stats.refine_seconds);
   out += ", \"search_seconds\": " + JsonNumber(stats.search_seconds);
   out += ", \"search_threads_used\": " + Int64Json(stats.search_threads_used);
+  out += ", \"settle_seconds\": " + JsonNumber(stats.settle_seconds);
   out += std::string(", \"used_external_cost_cache\": ") +
          (stats.used_external_cost_cache ? "true" : "false");
   out += "}";
@@ -335,7 +339,8 @@ PlanService::PlanService(PlanServiceOptions options)
     : options_(options),
       plan_cache_(PlanCacheOptions{options.plan_cache_entries,
                                    options.plan_cache_journal,
-                                   options.plan_cache_journal_max_bytes}) {
+                                   options.plan_cache_journal_max_bytes}),
+      calibration_samples_(options.calibration_sample_capacity) {
   if (options_.context_cache_entries == 0) options_.context_cache_entries = 1;
   if (options_.async_workers < 1) options_.async_workers = 1;
   if (options_.async_jobs < 1) options_.async_jobs = 1;
@@ -812,16 +817,8 @@ HttpResponse PlanService::HandleMeasure(const HttpRequest& request) {
       const double overlap = calibrate::EstimateOverlapSlowdown(*exec_trace);
       if (!observations.empty()) {
         std::lock_guard<std::mutex> lock(calibration_mu_);
-        calibration_samples_.insert(
-            calibration_samples_.end(),
-            std::make_move_iterator(observations.begin()),
-            std::make_move_iterator(observations.end()));
-        if (calibration_samples_.size() >
-            options_.calibration_sample_capacity) {
-          calibration_samples_.erase(
-              calibration_samples_.begin(),
-              calibration_samples_.end() -
-                  options_.calibration_sample_capacity);
+        for (calibrate::CommObservation& observation : observations) {
+          calibration_samples_.Push(std::move(observation));
         }
         if (overlap > calibration_overlap_estimate_) {
           calibration_overlap_estimate_ = overlap;
@@ -905,7 +902,7 @@ HttpResponse PlanService::HandleCalibrate(const HttpRequest& request) {
       {
         std::lock_guard<std::mutex> lock(calibration_mu_);
         calibration_.reset();
-        calibration_samples_.clear();
+        calibration_samples_.Clear();
         calibration_overlap_estimate_ = 0.0;
         // The version still advances: cached plans priced by the dropped
         // profile must not answer post-reset requests.
@@ -943,7 +940,7 @@ HttpResponse PlanService::HandleCalibrate(const HttpRequest& request) {
   double overlap_estimate;
   {
     std::lock_guard<std::mutex> lock(calibration_mu_);
-    observations = calibration_samples_;
+    observations = calibration_samples_.Snapshot();
     overlap_estimate = calibration_overlap_estimate_;
   }
   if (observations.empty()) {

@@ -18,6 +18,7 @@
 #include "serve/metrics.h"
 #include "serve/plan_cache.h"
 #include "util/json.h"
+#include "util/ring_buffer.h"
 #include "util/thread_pool.h"
 
 namespace galvatron {
@@ -200,7 +201,9 @@ class PlanService {
   mutable std::mutex calibration_mu_;
   std::shared_ptr<const calibrate::CalibrationProfile> calibration_;
   int64_t calibration_version_ = 0;
-  std::vector<calibrate::CommObservation> calibration_samples_;
+  /// Oldest observations are overwritten once calibration_sample_capacity
+  /// is reached; /v1/calibrate fits a Snapshot (oldest to newest).
+  RingBuffer<calibrate::CommObservation> calibration_samples_;
   double calibration_overlap_estimate_ = 0.0;
 
   // Singleflight table: cache key -> the in-flight computation.

@@ -119,6 +119,19 @@ const std::vector<CorpusEntry>& SeedCorpus() {
            "1F1B stage holding one micro-batch on a graph-backed cluster"},
           {FuzzCheck::kMemoryModel, 0x94ce0def8cfad5e5ULL,
            "1F1B stage holding one micro-batch under the in-flight bound"},
+          // Sweep-pruning pins: bound admissibility and Optimize ==
+          // ReferenceSweep on the cluster shapes the bound-and-prune sweep
+          // special-cases (uneven island splits, capacity repartitions).
+          {FuzzCheck::kSweepPruning, 0xa288c91e4f21b2f1ULL,
+           "8-GPU mixed-generation cluster (uneven stage splits)"},
+          {FuzzCheck::kSweepPruning, 0x9a6a1562b597ac79ULL,
+           "8-GPU cluster with a squeezed memory range"},
+          {FuzzCheck::kSweepPruning, 0x999e571f958d5ae8ULL,
+           "8-GPU mixed-generation cluster with squeezed memory"},
+          {FuzzCheck::kSweepPruning, 0x769a92b546dfd1ceULL,
+           "8-GPU homogeneous cluster, 6-layer model"},
+          {FuzzCheck::kSweepPruning, 0x1b654a1c10986df4ULL,
+           "1F1B plan within 3% of its bound: a bound scaled by 0.97 fails"},
       };
   return *kCorpus;
 }

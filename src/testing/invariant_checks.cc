@@ -1,6 +1,7 @@
 #include "testing/invariant_checks.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -13,7 +14,10 @@
 #include "estimator/cost_estimator.h"
 #include "parallel/decision_tree.h"
 #include "search/dp_search.h"
+#include "search/optimizer.h"
+#include "search/sweep_space.h"
 #include "sim/simulator.h"
+#include "testing/reference_sweep.h"
 #include "trace/analyzer.h"
 #include "trace/trace.h"
 #include "util/math_util.h"
@@ -1250,6 +1254,159 @@ std::optional<CheckFailure> CheckCalibrationIdentity(
   return std::nullopt;
 }
 
+/// Check (i): the bound-and-prune sweep is exact. (1) ThroughputBound is
+/// admissible: for a random degree and (batch, micro), no memory-feasible
+/// plan — uniform template or random per-layer assignment — estimates a
+/// higher throughput than the bound, compared bitwise; on a
+/// memory-unbounded twin of the cluster every plan is feasible and the same
+/// holds. (2) Optimizer::Optimize equals the exhaustive ReferenceSweep on
+/// the winner, the alternates and the throughput bits.
+std::optional<CheckFailure> CheckSweepPruning(uint64_t seed,
+                                              const CheckOptions& options) {
+  const FuzzCheck kCheck = FuzzCheck::kSweepPruning;
+  Rng rng(seed);
+  GeneratorOptions gen = options.generator;
+  gen.max_layers = std::min(gen.max_layers, 6);  // the oracle is uncached
+  const ModelSpec model = GenerateModel(&rng, gen);
+  const ClusterSpec cluster = GenerateCluster(&rng, gen);
+  OptimizerOptions opt;
+  opt.batch_step = rng.NextBelow(2) == 0 ? 4 : 8;
+  opt.max_batch = 32;
+  opt.allow_recompute = rng.NextBelow(4) == 0;
+  opt.schedule = rng.NextBelow(2) == 0 ? PipelineSchedule::kGPipe
+                                       : PipelineSchedule::k1F1B;
+  opt.search_threads = 1 + static_cast<int>(rng.NextBelow(4));
+  const std::string setup = StrFormat(
+      "%d devices, %d layers, step %d, recompute %d, %s, %d threads",
+      cluster.num_devices(), model.num_layers(), opt.batch_step,
+      opt.allow_recompute ? 1 : 0,
+      std::string(PipelineScheduleToString(opt.schedule)).c_str(),
+      opt.search_threads);
+
+  // (1) Admissibility of the bound.
+  Result<SweepSpace> space = EnumerateSweepSpace(model, cluster, opt);
+  if (!space.ok()) {
+    return MakeFailure(kCheck, seed,
+                       StrFormat("EnumerateSweepSpace failed: %s",
+                                 space.status().ToString().c_str()));
+  }
+  const SweepDegree& degree =
+      space->degrees[rng.NextBelow(space->degrees.size())];
+  const int batch = 1 + static_cast<int>(rng.NextBelow(32));
+  const int micro =
+      degree.pp == 1 ? 1 : 1 + static_cast<int>(rng.NextBelow(batch));
+  std::vector<TrainingPlan> plans;
+  for (const auto& [rank, uniform] : degree.uniform_templates) {
+    plans.push_back(uniform);
+  }
+  for (int k = 0; k < 8; ++k) {
+    TrainingPlan plan;
+    plan.model_name = model.name();
+    plan.schedule = opt.schedule;
+    int first_layer = 0;
+    for (size_t s = 0; s < degree.geometry.size(); ++s) {
+      StagePlan stage;
+      stage.first_device = degree.geometry[s].first_device;
+      stage.num_devices = degree.geometry[s].num_devices;
+      stage.first_layer = first_layer;
+      stage.num_layers = degree.stage_sizes[s];
+      const std::vector<HybridStrategy>& candidates =
+          *degree.stage_candidates[s];
+      for (int l = 0; l < stage.num_layers; ++l) {
+        stage.layer_strategies.push_back(
+            candidates[rng.NextBelow(candidates.size())]);
+        if (opt.allow_recompute) {
+          stage.recompute.push_back(
+              static_cast<uint8_t>(rng.NextBelow(2)));
+        }
+      }
+      first_layer += stage.num_layers;
+      plan.stages.push_back(std::move(stage));
+    }
+    plans.push_back(std::move(plan));
+  }
+  for (TrainingPlan& plan : plans) {
+    plan.global_batch = batch;
+    plan.num_micro_batches = micro;
+  }
+  const ClusterSpec roomy = cluster.WithMemoryBudget(int64_t{1} << 55);
+  for (const ClusterSpec* target : {&cluster, &roomy}) {
+    const CostEstimator estimator(target, opt.estimator);
+    SharedCostCache cache(&estimator, &model);
+    const ThroughputBound bound(&cache, model, *target, degree,
+                                opt.allow_recompute);
+    const double limit = bound.Evaluate(batch, micro, opt.schedule);
+    if (std::isnan(limit)) {
+      return MakeFailure(kCheck, seed, "throughput bound is NaN");
+    }
+    for (const TrainingPlan& plan : plans) {
+      const Result<PlanCost> cost = estimator.EstimatePlan(model, plan);
+      if (!cost.ok()) continue;  // OOM plans are not bounded
+      if (!(cost->throughput_samples_per_sec <= limit)) {
+        return MakeFailure(
+            kCheck, seed,
+            StrFormat("plan beats its throughput bound on the %s cluster "
+                      "(batch %d, micro %d): %a > %a (%s)",
+                      target == &roomy ? "unbounded" : "generated", batch,
+                      micro, cost->throughput_samples_per_sec, limit,
+                      setup.c_str()),
+            &plan);
+      }
+    }
+  }
+
+  // (2) The pruned sweep returns exactly what the exhaustive one does.
+  const Result<OptimizationResult> got = Optimizer(&cluster, opt).Optimize(model);
+  const Result<ReferenceSweepResult> want =
+      ReferenceSweep(model, cluster, opt);
+  if (got.ok() != want.ok() ||
+      (!got.ok() && got.status().ToString() != want.status().ToString())) {
+    return MakeFailure(
+        kCheck, seed,
+        StrFormat("verdicts diverge: Optimize %s vs ReferenceSweep %s (%s)",
+                  got.ok() ? "ok" : got.status().ToString().c_str(),
+                  want.ok() ? "ok" : want.status().ToString().c_str(),
+                  setup.c_str()));
+  }
+  if (!got.ok()) return std::nullopt;
+  if (got->plan.ToString() != want->plan.ToString() ||
+      std::bit_cast<uint64_t>(got->estimated.throughput_samples_per_sec) !=
+          std::bit_cast<uint64_t>(want->estimated.throughput_samples_per_sec)) {
+    return MakeFailure(
+        kCheck, seed,
+        StrFormat("winners diverge (%s): Optimize %a\n%s\nvs ReferenceSweep "
+                  "%a\n%s",
+                  setup.c_str(), got->estimated.throughput_samples_per_sec,
+                  got->plan.ToString().c_str(),
+                  want->estimated.throughput_samples_per_sec,
+                  want->plan.ToString().c_str()),
+        &got->plan);
+  }
+  if (got->alternates.size() != want->alternates.size()) {
+    return MakeFailure(kCheck, seed,
+                       StrFormat("%zu alternates vs %zu (%s)",
+                                 got->alternates.size(),
+                                 want->alternates.size(), setup.c_str()));
+  }
+  for (size_t i = 0; i < got->alternates.size(); ++i) {
+    if (got->alternates[i].ToString() != want->alternates[i].ToString()) {
+      return MakeFailure(
+          kCheck, seed,
+          StrFormat("alternate %zu diverges (%s):\n%s\nvs\n%s", i,
+                    setup.c_str(), got->alternates[i].ToString().c_str(),
+                    want->alternates[i].ToString().c_str()),
+          &got->alternates[i]);
+    }
+  }
+  if (got->stats.configs_explored != want->configs_explored) {
+    return MakeFailure(kCheck, seed,
+                       StrFormat("%d configurations vs %d (%s)",
+                                 got->stats.configs_explored,
+                                 want->configs_explored, setup.c_str()));
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 std::string_view FuzzCheckToString(FuzzCheck check) {
@@ -1270,6 +1427,8 @@ std::string_view FuzzCheckToString(FuzzCheck check) {
       return "topology-identity";
     case FuzzCheck::kCalibrationIdentity:
       return "calibration-identity";
+    case FuzzCheck::kSweepPruning:
+      return "sweep-pruning";
   }
   return "unknown";
 }
@@ -1283,11 +1442,13 @@ Result<FuzzCheck> FuzzCheckFromString(const std::string& text) {
   if (text == "trace-conservation") return FuzzCheck::kTraceConservation;
   if (text == "topology-identity") return FuzzCheck::kTopologyIdentity;
   if (text == "calibration-identity") return FuzzCheck::kCalibrationIdentity;
+  if (text == "sweep-pruning") return FuzzCheck::kSweepPruning;
   return Status::InvalidArgument(
       StrFormat("unknown check '%s' (expected plan-validity, "
                 "search-equivalence, memory-model, json-roundtrip, "
                 "spec-json-roundtrip, trace-conservation, "
-                "topology-identity or calibration-identity)",
+                "topology-identity, calibration-identity or "
+                "sweep-pruning)",
                 text.c_str()));
 }
 
@@ -1319,6 +1480,8 @@ std::optional<CheckFailure> RunCheck(FuzzCheck check, uint64_t seed,
       return CheckTopologyIdentity(seed, options);
     case FuzzCheck::kCalibrationIdentity:
       return CheckCalibrationIdentity(seed, options);
+    case FuzzCheck::kSweepPruning:
+      return CheckSweepPruning(seed, options);
   }
   return MakeFailure(check, seed, "unknown check");
 }
@@ -1328,7 +1491,8 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
       FuzzCheck::kPlanValidity,      FuzzCheck::kSearchEquivalence,
       FuzzCheck::kMemoryModel,       FuzzCheck::kJsonRoundTrip,
       FuzzCheck::kSpecJsonRoundTrip, FuzzCheck::kTraceConservation,
-      FuzzCheck::kTopologyIdentity,   FuzzCheck::kCalibrationIdentity};
+      FuzzCheck::kTopologyIdentity,  FuzzCheck::kCalibrationIdentity,
+      FuzzCheck::kSweepPruning};
   std::vector<FuzzCheck> checks = options.checks;
   if (checks.empty()) checks.assign(kAll, kAll + kNumFuzzChecks);
 

@@ -1,7 +1,11 @@
 #include "util/string_util.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace galvatron {
@@ -59,6 +63,52 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+namespace {
+
+Status BadFlagValue(const std::string& flag, const std::string& text,
+                    const std::string& expected) {
+  return Status::InvalidArgument(StrFormat(
+      "%s expects %s, got '%s'", flag.c_str(), expected.c_str(),
+      text.c_str()));
+}
+
+}  // namespace
+
+Result<int> ParseIntFlag(const std::string& flag, const std::string& text,
+                         int min_value, int max_value) {
+  const std::string expected =
+      StrFormat("an integer in [%d, %d]", min_value, max_value);
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return BadFlagValue(flag, text, expected);
+  }
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (errno != 0 || end != text.c_str() + text.size() || value < min_value ||
+      value > max_value) {
+    return BadFlagValue(flag, text, expected);
+  }
+  return static_cast<int>(value);
+}
+
+Result<double> ParseDoubleFlag(const std::string& flag,
+                               const std::string& text, double min_value,
+                               double max_value) {
+  const std::string expected =
+      StrFormat("a number in [%g, %g]", min_value, max_value);
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return BadFlagValue(flag, text, expected);
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (errno != 0 || end != text.c_str() + text.size() ||
+      !std::isfinite(value) || value < min_value || value > max_value) {
+    return BadFlagValue(flag, text, expected);
+  }
+  return value;
 }
 
 }  // namespace galvatron

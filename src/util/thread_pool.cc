@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <exception>
+#include <memory>
+#include <mutex>
 #include <utility>
 
 namespace galvatron {
@@ -87,18 +91,25 @@ void ParallelFor(ThreadPool* pool, int count,
     for (int i = 0; i < count; ++i) fn(i);
     return;
   }
-  // Chunked self-scheduling: one submitted task per participating worker;
-  // indices are claimed in ranges off a shared atomic cursor, so the
-  // mutex-guarded queue sees O(workers) traffic regardless of count. The
-  // chunk splits each worker's fair share in four — small enough that
-  // uneven index costs rebalance, large enough that cursor traffic is
-  // negligible — and never drops below min_grain.
+  // Self-scheduling: indices are claimed min_grain at a time, in index
+  // order, off a shared atomic cursor by the caller AND up to workers - 1
+  // pool helpers, so the mutex-guarded queue sees O(workers) traffic
+  // regardless of count, uneven index costs rebalance down to one grain,
+  // and indices START in order — callers that sort work by priority (the
+  // optimizer's bound-ordered refine) get it served that way.
+  //
+  // The caller drains the cursor itself and then waits only for claims
+  // still running, never for helpers that have not started: on a busy
+  // host a helper that gets no core simply claims nothing (it finds the
+  // cursor exhausted whenever it does run), so a fan-out is never slower
+  // than the inline loop by more than one grain. Helpers share the
+  // cursor through a heap state they co-own, and only dereference `fn`
+  // while holding a claim the caller is waiting for.
   //
   // Workers are capped at the physical core count as well as the pool
-  // size: the sweep is CPU-bound, so submitting more runnable workers
-  // than cores buys nothing and costs context switches (on a 1-core host
-  // a 4-thread pool would otherwise run ~10% SLOWER than serial). With a
-  // single useful worker the loop runs inline on the caller.
+  // size: the sweep is CPU-bound, so more runnable workers than cores buys
+  // nothing and costs context switches. With a single useful worker the
+  // loop runs inline on the caller.
   const int workers = std::min(
       {pool->num_threads(), ThreadPool::HardwareThreads(),
        static_cast<int>((count + min_grain - 1) / min_grain)});
@@ -106,19 +117,48 @@ void ParallelFor(ThreadPool* pool, int count,
     for (int i = 0; i < count; ++i) fn(i);
     return;
   }
-  const int chunk = std::max(min_grain, count / (workers * 4));
-  std::atomic<int> next{0};
-  for (int w = 0; w < workers; ++w) {
-    pool->Submit([&next, &fn, count, chunk] {
-      for (;;) {
-        const int begin = next.fetch_add(chunk, std::memory_order_relaxed);
-        if (begin >= count) return;
-        const int end = std::min(begin + chunk, count);
-        for (int i = begin; i < end; ++i) fn(i);
+  struct State {
+    std::atomic<int> next{0};
+    std::atomic<int> active{0};  // claims in flight (a claim may be empty)
+    std::mutex mu;
+    std::condition_variable idle;
+    std::exception_ptr first_error;  // under mu
+  };
+  auto state = std::make_shared<State>();
+  const int chunk = min_grain;
+  // Claims and runs chunks until the cursor is exhausted. An exception
+  // abandons the rest of its chunk only: every drainer, the caller
+  // included, keeps claiming until the cursor is exhausted, so once the
+  // caller's own drain returns no claim below `count` can start later.
+  auto drain = [count, chunk](State& st,
+                              const std::function<void(int)>* body) {
+    for (;;) {
+      st.active.fetch_add(1);
+      const int begin = st.next.fetch_add(chunk);
+      if (begin < count) {
+        try {
+          const int end = std::min(begin + chunk, count);
+          for (int i = begin; i < end; ++i) (*body)(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(st.mu);
+          if (!st.first_error) st.first_error = std::current_exception();
+        }
       }
-    });
+      if (st.active.fetch_sub(1) == 1) {
+        std::lock_guard<std::mutex> lock(st.mu);
+        st.idle.notify_all();
+      }
+      if (begin >= count) return;
+    }
+  };
+  const std::function<void(int)>* body = &fn;
+  for (int w = 1; w < workers; ++w) {
+    pool->Submit([state, drain, body] { drain(*state, body); });
   }
-  pool->Wait();  // rethrows the first fn exception, after all chunks drain
+  drain(*state, body);
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->idle.wait(lock, [&] { return state->active.load() == 0; });
+  if (state->first_error) std::rethrow_exception(state->first_error);
 }
 
 }  // namespace galvatron

@@ -63,32 +63,34 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs fn(0), ..., fn(count - 1), distributing the calls across `pool`.
-/// Blocks until every call has finished. With a null pool (or a
-/// single-thread pool, or count <= min_grain) the calls run inline on the
-/// caller, in index order — the serial baseline and the parallel path share
-/// one code shape, which is what makes "identical results regardless of
-/// thread count" testable.
+/// Runs fn(0), ..., fn(count - 1), distributing the calls across the
+/// caller and `pool`. Blocks until every call has finished. With a null
+/// pool (or a single-thread pool, or count <= min_grain) the calls run
+/// inline on the caller, in index order — the serial baseline and the
+/// parallel path share one code shape, which is what makes "identical
+/// results regardless of thread count" testable.
 ///
-/// Scheduling: exactly min(num_threads, hardware cores,
-/// ceil(count / min_grain)) worker tasks are submitted; each pulls index
-/// ranges off a shared atomic cursor (chunked self-scheduling). Dispatch
-/// cost is therefore paid once per WORKER, not once per index — the fix
-/// for fine-grained waves where per-index queue traffic used to swamp the
-/// work itself. The hardware-core cap means oversized pools degrade to
-/// however much parallelism the host actually has (down to inline serial
-/// on one core) instead of paying context-switch overhead for it.
+/// Scheduling: the caller plus min(num_threads, hardware cores,
+/// ceil(count / min_grain)) - 1 pool helpers claim min_grain consecutive
+/// indices at a time off a shared atomic cursor (self-scheduling), so
+/// indices start in index order and uneven costs rebalance down to one
+/// grain. The caller waits only for claims in flight, not for helpers
+/// still queued: a helper that never gets a core costs nothing, so the
+/// fan-out is never slower than the inline loop by more than one grain
+/// (plus the submits). The hardware-core cap means oversized pools
+/// degrade to however much parallelism the host actually has (down to
+/// inline serial on one core).
 ///
-/// `min_grain` is the smallest number of indices worth shipping to a
-/// worker: waves with count <= min_grain run inline, and no worker ever
-/// pulls a chunk smaller than min_grain (except the final partial chunk).
-/// Use 1 (the default) when each index is substantial work (the
-/// optimizer's per-configuration evaluations); raise it for cheap
-/// per-index bodies.
+/// `min_grain` is the number of indices worth shipping to a worker at a
+/// time: waves with count <= min_grain run inline, and every claim takes
+/// min_grain indices (the final one may be partial). Use 1 (the default)
+/// when each index is substantial work (the optimizer's per-configuration
+/// evaluations); raise it for cheap per-index bodies.
 ///
-/// An exception thrown by `fn` stops that worker's chunk; the other
-/// workers finish the remaining chunks and the first exception is rethrown
-/// here (see ThreadPool::Wait). Inline execution propagates it directly.
+/// An exception thrown by `fn` abandons the rest of its chunk; every other
+/// chunk still runs, and the first exception is rethrown here once no
+/// claim is in flight. Helpers still queued at that point are harmless:
+/// they find the cursor exhausted. The pool stays usable.
 void ParallelFor(ThreadPool* pool, int count,
                  const std::function<void(int)>& fn, int min_grain = 1);
 

@@ -24,6 +24,7 @@
 #include "trace/analyzer.h"
 #include "trace/export.h"
 #include "trace/trace.h"
+#include "util/ring_buffer.h"
 #include "util/rng.h"
 
 namespace galvatron {
@@ -507,6 +508,55 @@ TEST_F(CalibratedEstimatorTest, ExtractObservationsCoversEveryCommTask) {
   // silently treated as sample-free.
   EXPECT_FALSE(ParseAttributionSamples("{\"categories\": {}}").ok());
   EXPECT_FALSE(ParseAttributionSamples("garbage").ok());
+}
+
+TEST(FitTest, WrappedSampleRingFitsLikeTheFrontTrimmedBuffer) {
+  // The serving daemon's sample buffer is a ring that overwrites its oldest
+  // observation once full. Fed the same measure batches, its oldest-first
+  // snapshot must equal the vector the daemon used to keep (append, then
+  // erase from the front down to the capacity), so fitted profiles stay
+  // byte-identical.
+  constexpr size_t kCapacity = 97;  // batches straddle the wrap point
+  RingBuffer<CommObservation> ring(kCapacity);
+  std::vector<CommObservation> trimmed;
+  Rng rng(41);
+  const LinkClass links[] = {LinkClass::kPcie3, LinkClass::kInfiniBand100};
+  const CollectiveKind kinds[] = {CollectiveKind::kAllReduce,
+                                  CollectiveKind::kAllGather};
+  size_t pushed = 0;
+  for (int batch = 0; batch < 40; ++batch) {
+    std::vector<CommObservation> observations;
+    const int count = 1 + static_cast<int>(rng.NextBelow(20));
+    for (int i = 0; i < count; ++i) {
+      const double predicted = rng.NextDouble(1e-5, 1e-3);
+      observations.push_back(
+          Obs(links[rng.NextBelow(2)], kinds[rng.NextBelow(2)],
+              int64_t{1} << (16 + rng.NextBelow(6)), predicted,
+              predicted * rng.NextDouble(0.5, 2.0)));
+    }
+    trimmed.insert(trimmed.end(), observations.begin(), observations.end());
+    if (trimmed.size() > kCapacity) {
+      trimmed.erase(trimmed.begin(), trimmed.end() - kCapacity);
+    }
+    for (const CommObservation& observation : observations) {
+      ring.Push(observation);
+    }
+    pushed += observations.size();
+  }
+  ASSERT_GT(pushed, 3 * kCapacity);  // wrapped several times
+  const std::vector<CommObservation> snapshot = ring.Snapshot();
+  ASSERT_EQ(snapshot.size(), trimmed.size());
+  for (size_t i = 0; i < snapshot.size(); ++i) {
+    EXPECT_EQ(snapshot[i].bytes, trimmed[i].bytes) << i;
+    EXPECT_EQ(snapshot[i].predicted_sec, trimmed[i].predicted_sec) << i;
+    EXPECT_EQ(snapshot[i].measured_sec, trimmed[i].measured_sec) << i;
+  }
+  auto from_ring = FitCalibrationProfile(snapshot, 1.2);
+  auto from_trim = FitCalibrationProfile(trimmed, 1.2);
+  ASSERT_TRUE(from_ring.ok()) << from_ring.status();
+  ASSERT_TRUE(from_trim.ok()) << from_trim.status();
+  EXPECT_EQ(CalibrationProfileToJson(*from_ring),
+            CalibrationProfileToJson(*from_trim));
 }
 
 }  // namespace

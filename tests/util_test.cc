@@ -5,6 +5,7 @@
 
 #include "util/math_util.h"
 #include "util/result.h"
+#include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -190,6 +191,28 @@ TEST(RngTest, SplitIndependent) {
   Rng b = a.Split();
   // Streams diverge.
   EXPECT_NE(a.NextU64(), b.NextU64());
+}
+
+TEST(RingBufferTest, KeepsTheNewestCapacityElementsOldestFirst) {
+  RingBuffer<int> ring(3);
+  EXPECT_TRUE(ring.empty());
+  ring.Push(1);
+  ring.Push(2);
+  EXPECT_EQ(ring.Snapshot(), (std::vector<int>{1, 2}));
+  for (int i = 3; i <= 7; ++i) ring.Push(i);
+  EXPECT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring.Snapshot(), (std::vector<int>{5, 6, 7}));
+  ring.Clear();
+  EXPECT_TRUE(ring.empty());
+  ring.Push(8);
+  EXPECT_EQ(ring.Snapshot(), (std::vector<int>{8}));
+}
+
+TEST(RingBufferTest, ZeroCapacityDropsEverything) {
+  RingBuffer<int> ring(0);
+  ring.Push(1);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_TRUE(ring.Snapshot().empty());
 }
 
 }  // namespace

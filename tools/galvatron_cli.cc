@@ -14,6 +14,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -139,6 +140,12 @@ Result<BaselineKind> FindMode(const std::string& mode) {
   return it->second;
 }
 
+// Flag ranges: wide enough for any simulated fleet, narrow enough that
+// derived byte and device counts cannot overflow.
+constexpr int kMaxNodes = 1 << 16;
+constexpr int kMaxGpusPerNode = 1 << 10;
+constexpr double kMaxMemoryGb = 1e6;
+
 Result<CliArgs> ParseArgs(int argc, char** argv) {
   CliArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -153,13 +160,16 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
       GALVATRON_ASSIGN_OR_RETURN(args.model, next());
     } else if (flag == "--nodes") {
       GALVATRON_ASSIGN_OR_RETURN(std::string v, next());
-      args.nodes = std::atoi(v.c_str());
+      GALVATRON_ASSIGN_OR_RETURN(args.nodes,
+                                 ParseIntFlag(flag, v, 1, kMaxNodes));
     } else if (flag == "--gpus") {
       GALVATRON_ASSIGN_OR_RETURN(std::string v, next());
-      args.gpus_per_node = std::atoi(v.c_str());
+      GALVATRON_ASSIGN_OR_RETURN(args.gpus_per_node,
+                                 ParseIntFlag(flag, v, 1, kMaxGpusPerNode));
     } else if (flag == "--memory-gb") {
       GALVATRON_ASSIGN_OR_RETURN(std::string v, next());
-      args.memory_gb = std::atof(v.c_str());
+      GALVATRON_ASSIGN_OR_RETURN(args.memory_gb,
+                                 ParseDoubleFlag(flag, v, 0.0, kMaxMemoryGb));
     } else if (flag == "--intra-link") {
       GALVATRON_ASSIGN_OR_RETURN(args.intra_link, next());
     } else if (flag == "--inter-link") {
@@ -179,7 +189,10 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
       // Negative values are rejected by the optimizer's options validation
       // (one authority for every entry point: CLI, API, serve); the
       // InvalidArgument it returns is reported on stderr like any other.
-      args.search_threads = std::atoi(v.c_str());
+      GALVATRON_ASSIGN_OR_RETURN(
+          args.search_threads,
+          ParseIntFlag(flag, v, std::numeric_limits<int>::min(),
+                       std::numeric_limits<int>::max()));
     } else if (flag == "--json-out") {
       GALVATRON_ASSIGN_OR_RETURN(args.json_out, next());
     } else if (flag == "--trace" || flag == "--trace-out") {
@@ -210,7 +223,9 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
       GALVATRON_ASSIGN_OR_RETURN(args.server, next());
     } else if (flag == "--deadline-ms") {
       GALVATRON_ASSIGN_OR_RETURN(std::string v, next());
-      args.deadline_ms = std::atof(v.c_str());
+      GALVATRON_ASSIGN_OR_RETURN(
+          args.deadline_ms,
+          ParseDoubleFlag(flag, v, 0.0, std::numeric_limits<double>::max()));
       if (args.deadline_ms <= 0) {
         return Status::InvalidArgument("--deadline-ms must be > 0");
       }
@@ -336,10 +351,9 @@ Result<int> RunRemote(const CliArgs& args) {
     return Status::InvalidArgument("--server expects HOST:PORT");
   }
   const std::string host = args.server.substr(0, colon);
-  const int port = std::atoi(args.server.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
-    return Status::InvalidArgument("--server expects HOST:PORT");
-  }
+  GALVATRON_ASSIGN_OR_RETURN(
+      const int port,
+      ParseIntFlag("--server port", args.server.substr(colon + 1), 1, 65535));
 
   GALVATRON_ASSIGN_OR_RETURN(ModelId model_id, FindModel(args.model));
   GALVATRON_ASSIGN_OR_RETURN(const ClusterSpec cluster,
@@ -505,12 +519,14 @@ Result<int> RunCli(const CliArgs& args) {
   if (result->stats.configs_explored > 0) {
     const SearchStats& sstats = result->stats;
     std::printf(
-        "search: %.3fs on %d threads (%d configs; cost cache %lld hits, "
-        "%lld misses)\n",
+        "search: %.3fs on %d threads (%d configs, %d pruned; cost cache "
+        "%lld hits, %lld misses)\n"
+        "sweep: settle %.3fs, bound %.3fs, refine %.3fs\n",
         sstats.search_seconds, sstats.search_threads_used,
-        sstats.configs_explored,
+        sstats.configs_explored, sstats.configs_pruned,
         static_cast<long long>(sstats.cost_cache_hits),
-        static_cast<long long>(sstats.cost_cache_misses));
+        static_cast<long long>(sstats.cost_cache_misses),
+        sstats.settle_seconds, sstats.bound_seconds, sstats.refine_seconds);
   }
 
   const bool want_trace =

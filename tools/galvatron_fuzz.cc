@@ -46,7 +46,7 @@ void PrintUsage(std::FILE* out) {
                "  --seed=N            base seed of the campaign (default 1)\n"
                "  --iterations=N      iterations per check (default 100)\n"
                "  --checks=a,b,...    subset of checks (default: all "
-               "seven)\n"
+               "nine)\n"
                "  --corpus            run the pinned seed/JSON corpus only\n"
                "  --repro=CHECK:SEED  replay one reported iteration\n"
                "  --dump-dir=PATH     where failure repros are written "

@@ -19,11 +19,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "serve/handlers.h"
 #include "serve/http_server.h"
 #include "serve/metrics.h"
+#include "util/string_util.h"
 
 namespace galvatron {
 namespace serve {
@@ -92,19 +94,16 @@ Result<ServeArgs> ParseArgs(int argc, char** argv) {
       }
       return std::string(argv[++i]);
     };
-    auto next_int = [&](int min_value) -> Result<int> {
+    auto next_int = [&](int min_value,
+                        int max_value = std::numeric_limits<int>::max())
+        -> Result<int> {
       GALVATRON_ASSIGN_OR_RETURN(std::string v, next());
-      const int parsed = std::atoi(v.c_str());
-      if (parsed < min_value) {
-        return Status::InvalidArgument(
-            flag + " must be >= " + std::to_string(min_value));
-      }
-      return parsed;
+      return ParseIntFlag(flag, v, min_value, max_value);
     };
     if (flag == "--host") {
       GALVATRON_ASSIGN_OR_RETURN(args.host, next());
     } else if (flag == "--port") {
-      GALVATRON_ASSIGN_OR_RETURN(args.port, next_int(0));
+      GALVATRON_ASSIGN_OR_RETURN(args.port, next_int(0, 65535));
     } else if (flag == "--threads") {
       GALVATRON_ASSIGN_OR_RETURN(args.threads, next_int(1));
     } else if (flag == "--max-in-flight") {
@@ -129,10 +128,9 @@ Result<ServeArgs> ParseArgs(int argc, char** argv) {
       GALVATRON_ASSIGN_OR_RETURN(args.async_jobs, next_int(1));
     } else if (flag == "--deadline-ms") {
       GALVATRON_ASSIGN_OR_RETURN(std::string v, next());
-      args.deadline_ms = std::atof(v.c_str());
-      if (args.deadline_ms < 0) {
-        return Status::InvalidArgument("--deadline-ms must be >= 0");
-      }
+      GALVATRON_ASSIGN_OR_RETURN(
+          args.deadline_ms,
+          ParseDoubleFlag(flag, v, 0.0, std::numeric_limits<double>::max()));
     } else if (flag == "--help" || flag == "-h") {
       args.help = true;
     } else {
